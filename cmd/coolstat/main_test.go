@@ -78,11 +78,19 @@ func TestRun(t *testing.T) {
 	}
 
 	// -watch: one round of the live delta view; calls issued between the two
-	// polls must appear as non-zero rates and percentiles.
+	// polls must appear as non-zero rates and percentiles. The pinger keeps
+	// going until the watch returns, so calls land after the baseline
+	// snapshot however late the first poll is.
+	stop := make(chan struct{})
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		for i := 0; i < 10; i++ {
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
 			if err := obj.Invoke("ping", nil, nil); err != nil {
 				t.Errorf("watch ping: %v", err)
 				return
@@ -90,10 +98,12 @@ func TestRun(t *testing.T) {
 		}
 	}()
 	out.Reset()
-	if err := run(&out, []string{"-watch", "20ms", "-watch-rounds", "3", "-ior-file", iorFile}); err != nil {
+	err = run(&out, []string{"-watch", "20ms", "-watch-rounds", "3", "-ior-file", iorFile})
+	close(stop)
+	<-done
+	if err != nil {
 		t.Fatalf("run -watch: %v", err)
 	}
-	<-done
 	got = out.String()
 	for _, want := range []string{
 		"orb.server.requests{op=ping}",

@@ -8,192 +8,83 @@ import (
 	"cool/internal/dacapo"
 )
 
-// ARQ mechanisms. Both share a 5-octet header: [type:1][seq:4] with type
-// DATA or ACK. Each module instance is full-duplex: it is the sender for
-// its endpoint's outbound packets and the receiver for inbound ones, so a
-// single stack supports request/reply traffic.
+// ARQ mechanisms: irq and window, one go-back-N implementation. Frames
+// carry a 5-octet trailer [type:1][seq:4] with type DATA or ACK, appended
+// behind the payload like the checksums, so a delivered payload still
+// starts at its buffer's base. Each module instance is full-duplex: it is
+// the sender for its endpoint's outbound packets and the receiver for
+// inbound ones, so a single stack supports request/reply traffic.
 
 const (
-	arqHdrLen = 5
-	arqData   = byte(0)
-	arqAck    = byte(1)
+	arqTrailerLen = 5
+	arqData       = byte(0)
+	arqAck        = byte(1)
 )
 
-func putArqHdr(dst []byte, typ byte, seq uint32) {
-	dst[0] = typ
-	binary.BigEndian.PutUint32(dst[1:], seq)
+// appendArq appends the ARQ trailer to p.
+func appendArq(p *dacapo.Packet, typ byte, seq uint32) {
+	var t [arqTrailerLen]byte
+	t[0] = typ
+	binary.BigEndian.PutUint32(t[1:], seq)
+	p.Append(t[:])
 }
 
-// irq is the idle-repeat-request mechanism: stop-and-wait ARQ. Exactly one
+// stripArq removes the ARQ trailer from p and returns it; ok is false for
+// a packet too short to carry one.
+func stripArq(p *dacapo.Packet) (typ byte, seq uint32, ok bool) {
+	n := p.Len()
+	if n < arqTrailerLen {
+		return 0, 0, false
+	}
+	t := p.Bytes()[n-arqTrailerLen:]
+	typ, seq = t[0], binary.BigEndian.Uint32(t[1:])
+	return typ, seq, p.TrimBack(arqTrailerLen) == nil
+}
+
+// newIRQ builds the idle-repeat-request mechanism: stop-and-wait ARQ,
+// which is the go-back-N window with room for one packet. Exactly one
 // packet is outstanding; the next is accepted only after the ACK arrives.
 // Its "ineffective flow control" is what collapses throughput in the
 // paper's Figure 9 ("the low throughput for the IRQ C module is caused by
 // the ineffective flow control of the idle-repeat-request protocol").
-type irq struct {
-	dacapo.BaseModule
-
-	rto        time.Duration
-	maxRetries int
-
-	// sender state
-	sendSeq     uint32
-	awaiting    bool
-	outstanding *dacapo.Packet
-	retries     int
-	cancelTimer func()
-
-	// receiver state
-	recvSeq uint32
-}
-
-type irqTimeout struct{ seq uint32 }
-
 func newIRQ(args dacapo.Args) (dacapo.Module, error) {
-	rto, err := args.Duration("rto", 100*time.Millisecond)
-	if err != nil {
-		return nil, err
-	}
-	retries, err := args.Int("retries", 20)
-	if err != nil {
-		return nil, err
-	}
-	return &irq{rto: rto, maxRetries: retries}, nil
-}
-
-func (m *irq) Name() string { return "irq" }
-
-// Blocking marks irq for threaded scheduling: it pauses intake, arms
-// retransmission timers, and emits ACKs down from its up path.
-func (m *irq) Blocking() {}
-
-func (m *irq) HandleDown(ctx *dacapo.Context, p *dacapo.Packet) error {
-	putArqHdr(p.Prepend(arqHdrLen), arqData, m.sendSeq)
-	m.outstanding = p.Clone()
-	m.awaiting = true
-	m.retries = 0
-	ctx.PauseDown() // stop-and-wait: nothing else until the ACK
-	m.cancelTimer = ctx.After(m.rto, irqTimeout{seq: m.sendSeq})
-	return ctx.EmitDown(p)
-}
-
-func (m *irq) HandleUp(ctx *dacapo.Context, p *dacapo.Packet) error {
-	if p.Len() < arqHdrLen {
-		ctx.Drop(p)
-		return nil
-	}
-	hdr := p.Bytes()[:arqHdrLen]
-	typ, seq := hdr[0], binary.BigEndian.Uint32(hdr[1:])
-	if err := p.StripFront(arqHdrLen); err != nil {
-		return err
-	}
-	switch typ {
-	case arqAck:
-		if m.awaiting && seq == m.sendSeq {
-			m.stopTimer()
-			m.awaiting = false
-			ctx.Pool().Put(m.outstanding)
-			m.outstanding = nil
-			m.sendSeq++
-			ctx.ResumeDown()
-		}
-		ctx.Drop(p)
-		return nil
-	case arqData:
-		switch {
-		case seq == m.recvSeq:
-			m.recvSeq++
-			if err := sendAck(ctx, seq); err != nil {
-				return err
-			}
-			return ctx.EmitUp(p)
-		case seq < m.recvSeq:
-			// Duplicate: our ACK was lost; re-acknowledge.
-			if err := sendAck(ctx, seq); err != nil {
-				return err
-			}
-			ctx.Drop(p)
-			return nil
-		default:
-			// Cannot happen with a stop-and-wait peer; discard.
-			ctx.Drop(p)
-			return nil
-		}
-	default:
-		ctx.Drop(p)
-		return nil
-	}
-}
-
-func (m *irq) HandleEvent(ctx *dacapo.Context, ev any) error {
-	to, ok := ev.(irqTimeout)
-	if !ok || !m.awaiting || to.seq != m.sendSeq {
-		return nil // stale timer
-	}
-	m.retries++
-	if m.retries > m.maxRetries {
-		return fmt.Errorf("modules: irq: packet %d lost after %d retries", m.sendSeq, m.maxRetries)
-	}
-	if err := ctx.EmitDown(m.outstanding.Clone()); err != nil {
-		return err
-	}
-	m.cancelTimer = ctx.After(backoff(m.rto, m.retries), to)
-	return nil
-}
-
-func (m *irq) Stop(ctx *dacapo.Context) error {
-	m.stopTimer()
-	if m.outstanding != nil {
-		ctx.Pool().Put(m.outstanding)
-		m.outstanding = nil
-	}
-	return nil
-}
-
-func (m *irq) stopTimer() {
-	if m.cancelTimer != nil {
-		m.cancelTimer()
-		m.cancelTimer = nil
-	}
+	return buildWindow("irq", args, 1)
 }
 
 func sendAck(ctx *dacapo.Context, seq uint32) error {
-	ack := ctx.Pool().Get(nil)
-	putArqHdr(ack.Prepend(arqHdrLen), arqAck, seq)
+	ack := ctx.Pool().GetSized(arqTrailerLen)
+	appendArq(ack, arqAck, seq)
 	return ctx.EmitDown(ack)
 }
 
 // window is the sliding-window go-back-N ARQ mechanism: up to `window`
 // packets outstanding, cumulative ACKs, full-window retransmission on
-// timeout. It keeps the pipe full where irq idles it.
+// timeout. It keeps the pipe full where irq (a window of one) idles it.
 type window struct {
 	dacapo.BaseModule
 
+	name       string
 	rto        time.Duration
 	maxRetries int
 	size       uint32
 
-	// sender state
+	// sender state; ring holds the unacknowledged packets base..next-1
+	// (at most size), base's in slot head.
 	base, next uint32
-	buf        map[uint32]*dacapo.Packet
+	ring       []*dacapo.Packet
+	head       uint32
 	retries    int
-	timerGen   int
 	cancel     func()
 
 	// receiver state
 	recvNext uint32
 }
 
-type winTimeout struct{ gen int }
+// winTimeout is the retransmission timer's event; the runtime never
+// delivers a cancelled one, so it carries nothing.
+type winTimeout struct{}
 
 func newWindow(args dacapo.Args) (dacapo.Module, error) {
-	rto, err := args.Duration("rto", 100*time.Millisecond)
-	if err != nil {
-		return nil, err
-	}
-	retries, err := args.Int("retries", 20)
-	if err != nil {
-		return nil, err
-	}
 	size, err := args.Int("window", 16)
 	if err != nil {
 		return nil, err
@@ -201,24 +92,36 @@ func newWindow(args dacapo.Args) (dacapo.Module, error) {
 	if size < 1 {
 		return nil, fmt.Errorf("modules: window size %d < 1", size)
 	}
+	return buildWindow("window", args, size)
+}
+
+func buildWindow(name string, args dacapo.Args, size int) (dacapo.Module, error) {
+	rto, err := args.Duration("rto", 100*time.Millisecond)
+	if err != nil {
+		return nil, err
+	}
+	retries, err := args.Int("retries", 20)
+	if err != nil {
+		return nil, err
+	}
 	return &window{
+		name:       name,
 		rto:        rto,
 		maxRetries: retries,
 		size:       uint32(size),
-		buf:        make(map[uint32]*dacapo.Packet),
+		ring:       make([]*dacapo.Packet, size),
 	}, nil
 }
 
-func (m *window) Name() string { return "window" }
+func (m *window) Name() string { return m.name }
 
-// Blocking marks window for threaded scheduling: it pauses intake when
-// the window fills, arms timers, and ACKs down from its up path.
+// Blocking marks window as a locked stage: it pauses intake when the
+// window fills, arms timers, and ACKs down from its up path.
 func (m *window) Blocking() {}
 
 func (m *window) HandleDown(ctx *dacapo.Context, p *dacapo.Packet) error {
-	seq := m.next
-	putArqHdr(p.Prepend(arqHdrLen), arqData, seq)
-	m.buf[seq] = p.Clone()
+	appendArq(p, arqData, m.next)
+	m.ring[m.slot(m.next)] = p
 	m.next++
 	if m.next-m.base >= m.size {
 		ctx.PauseDown()
@@ -226,18 +129,14 @@ func (m *window) HandleDown(ctx *dacapo.Context, p *dacapo.Packet) error {
 	if m.cancel == nil {
 		m.startTimer(ctx)
 	}
-	return ctx.EmitDown(p)
+	return ctx.EmitDownCopy(p)
 }
 
 func (m *window) HandleUp(ctx *dacapo.Context, p *dacapo.Packet) error {
-	if p.Len() < arqHdrLen {
+	typ, seq, ok := stripArq(p)
+	if !ok {
 		ctx.Drop(p)
 		return nil
-	}
-	hdr := p.Bytes()[:arqHdrLen]
-	typ, seq := hdr[0], binary.BigEndian.Uint32(hdr[1:])
-	if err := p.StripFront(arqHdrLen); err != nil {
-		return err
 	}
 	switch typ {
 	case arqAck:
@@ -249,6 +148,12 @@ func (m *window) HandleUp(ctx *dacapo.Context, p *dacapo.Packet) error {
 			m.recvNext++
 			if err := sendAck(ctx, seq); err != nil {
 				return err
+			}
+			// The peer's window fills after size frames: every half window
+			// an ACK leaves at once, so the peer never waits out the flush
+			// delay (irq, a window of one, flushes every ACK).
+			if m.recvNext%max(m.size/2, 1) == 0 {
+				ctx.Flush()
 			}
 			return ctx.EmitUp(p)
 		}
@@ -269,16 +174,14 @@ func (m *window) HandleUp(ctx *dacapo.Context, p *dacapo.Packet) error {
 
 // handleAck processes a cumulative acknowledgement of every seq <= ack.
 func (m *window) handleAck(ctx *dacapo.Context, ack uint32) {
-	if ack >= m.next || ack < m.base {
-		return // stale or bogus
+	if ack-m.base >= m.next-m.base {
+		return // stale or bogus: not within [base, next)
 	}
-	for s := m.base; s <= ack; s++ {
-		if pkt, ok := m.buf[s]; ok {
-			ctx.Pool().Put(pkt)
-			delete(m.buf, s)
-		}
+	for ; m.base != ack+1; m.base++ {
+		ctx.Pool().Put(m.ring[m.head])
+		m.ring[m.head] = nil
+		m.head = (m.head + 1) % m.size
 	}
-	m.base = ack + 1
 	m.retries = 0
 	if m.base == m.next {
 		m.stopTimer()
@@ -291,20 +194,17 @@ func (m *window) handleAck(ctx *dacapo.Context, ack uint32) {
 }
 
 func (m *window) HandleEvent(ctx *dacapo.Context, ev any) error {
-	to, ok := ev.(winTimeout)
-	if !ok || to.gen != m.timerGen || m.base == m.next {
-		return nil // stale timer or nothing outstanding
+	if _, ok := ev.(winTimeout); !ok || m.base == m.next {
+		return nil // nothing outstanding
 	}
 	m.retries++
 	if m.retries > m.maxRetries {
-		return fmt.Errorf("modules: window: packet %d lost after %d retries", m.base, m.maxRetries)
+		return fmt.Errorf("modules: %s: packet %d lost after %d retries", m.name, m.base, m.maxRetries)
 	}
 	// Go-back-N: retransmit the whole window.
-	for s := m.base; s < m.next; s++ {
-		if pkt, ok := m.buf[s]; ok {
-			if err := ctx.EmitDown(pkt.Clone()); err != nil {
-				return err
-			}
+	for s := m.base; s != m.next; s++ {
+		if err := ctx.EmitDownCopy(m.ring[m.slot(s)]); err != nil {
+			return err
 		}
 	}
 	m.startTimer(ctx)
@@ -313,17 +213,21 @@ func (m *window) HandleEvent(ctx *dacapo.Context, ev any) error {
 
 func (m *window) Stop(ctx *dacapo.Context) error {
 	m.stopTimer()
-	for s, pkt := range m.buf {
-		ctx.Pool().Put(pkt)
-		delete(m.buf, s)
+	for i, pkt := range m.ring {
+		if pkt != nil {
+			ctx.Pool().Put(pkt)
+			m.ring[i] = nil
+		}
 	}
 	return nil
 }
 
+// slot returns the ring slot of outstanding sequence number s.
+func (m *window) slot(s uint32) uint32 { return (m.head + (s - m.base)) % m.size }
+
 func (m *window) startTimer(ctx *dacapo.Context) {
 	m.stopTimer()
-	m.timerGen++
-	m.cancel = ctx.After(backoff(m.rto, m.retries), winTimeout{gen: m.timerGen})
+	m.cancel = ctx.After(backoff(m.rto, m.retries), winTimeout{})
 }
 
 // backoff doubles the retransmission timeout per consecutive retry (capped

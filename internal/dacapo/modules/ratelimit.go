@@ -44,7 +44,7 @@ func newRateLimit(args dacapo.Args) (dacapo.Module, error) {
 
 func (m *rateLimit) Name() string { return "ratelimit" }
 
-// Blocking marks ratelimit for threaded scheduling: it holds packets past
+// Blocking marks ratelimit as a locked stage: it holds packets past
 // handler return and wakes on refill timers.
 func (m *rateLimit) Blocking() {}
 
@@ -84,11 +84,10 @@ func (m *rateLimit) HandleDown(ctx *dacapo.Context, p *dacapo.Packet) error {
 		m.tokens -= need
 		return ctx.EmitDown(p)
 	}
-	// Not enough budget: hold the packet, stop intake, wake up when the
-	// bucket has refilled.
+	// Not enough budget: hold the packet and stop intake until the bucket
+	// has refilled.
 	m.waiting = p
-	ctx.PauseDown()
-	m.scheduleWake(ctx, need)
+	m.throttle(ctx, need)
 	return nil
 }
 
@@ -99,7 +98,7 @@ func (m *rateLimit) HandleEvent(ctx *dacapo.Context, ev any) error {
 	need := float64(m.waiting.Len())
 	m.refill(need)
 	if m.tokens < need {
-		m.scheduleWake(ctx, need)
+		m.throttle(ctx, need)
 		return nil
 	}
 	m.tokens -= need
@@ -109,13 +108,14 @@ func (m *rateLimit) HandleEvent(ctx *dacapo.Context, ev any) error {
 	return ctx.EmitDown(p)
 }
 
-func (m *rateLimit) scheduleWake(ctx *dacapo.Context, need float64) {
+// throttle pauses intake until the bucket holds need tokens.
+func (m *rateLimit) throttle(ctx *dacapo.Context, need float64) {
 	deficit := need - m.tokens
 	wait := time.Duration(deficit / m.bytesPerSec * float64(time.Second))
 	if wait < 100*time.Microsecond {
 		wait = 100 * time.Microsecond
 	}
-	ctx.After(wait, rlTick{})
+	ctx.Throttle(wait, rlTick{})
 }
 
 func (m *rateLimit) HandleUp(ctx *dacapo.Context, p *dacapo.Packet) error {

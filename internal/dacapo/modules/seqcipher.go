@@ -1,6 +1,8 @@
 package modules
 
 import (
+	"bytes"
+	"crypto/subtle"
 	"encoding/binary"
 
 	"cool/internal/dacapo"
@@ -58,32 +60,47 @@ func (m *seqNum) HandleUp(ctx *dacapo.Context, p *dacapo.Packet) error {
 type xorCipher struct {
 	dacapo.BaseModule
 
-	key []byte
+	// stream is the key repeated to a whole number of copies of at least
+	// xorStreamMin octets, so every stream-sized chunk of a payload starts
+	// at key phase 0 and the XOR runs as a word-wide kernel.
+	stream []byte
 }
+
+// xorStreamMin is the least keystream length: long enough that a 64 KiB
+// payload takes a handful of kernel calls.
+const xorStreamMin = 4096
 
 func newXORCipher(args dacapo.Args) (dacapo.Module, error) {
 	key := []byte(args["key"])
 	if len(key) == 0 {
 		key = []byte("dacapo-default-key")
 	}
-	return &xorCipher{key: key}, nil
+	return &xorCipher{stream: expandKey(key, xorStreamMin)}, nil
+}
+
+// expandKey repeats key into a keystream of the smallest whole number of
+// copies that is at least min octets long.
+func expandKey(key []byte, min int) []byte {
+	return bytes.Repeat(key, (min+len(key)-1)/len(key))
+}
+
+// xorStream XORs data in place with the keystream, which restarts at every
+// stream-sized chunk of data.
+func xorStream(data, stream []byte) {
+	for len(data) > 0 {
+		n := subtle.XORBytes(data, data, stream)
+		data = data[n:]
+	}
 }
 
 func (m *xorCipher) Name() string { return "xorcipher" }
 
-func (m *xorCipher) apply(p *dacapo.Packet) {
-	data := p.WritableBytes()
-	for i := range data {
-		data[i] ^= m.key[i%len(m.key)]
-	}
-}
-
 func (m *xorCipher) HandleDown(ctx *dacapo.Context, p *dacapo.Packet) error {
-	m.apply(p)
+	xorStream(p.WritableBytes(), m.stream)
 	return ctx.EmitDown(p)
 }
 
 func (m *xorCipher) HandleUp(ctx *dacapo.Context, p *dacapo.Packet) error {
-	m.apply(p)
+	xorStream(p.WritableBytes(), m.stream)
 	return ctx.EmitUp(p)
 }

@@ -5,24 +5,25 @@ import (
 	"sync/atomic"
 
 	"cool/internal/obs"
-	"cool/internal/qos"
 )
 
 // batchObserver is an atomically swappable histogram slot: runtimes start
-// uninstrumented (nil) and the monitor arms the slot after bring-up and
-// after every reconfiguration splice, without racing the executors.
+// uninstrumented (nil) and the monitor arms the slot after bring-up,
+// without racing the writers.
 type batchObserver = atomic.Pointer[obs.Histogram]
 
-// batchSizeBuckets are the bounds for the per-stage batch-size
-// histograms: powers of two up to the boundary-queue burst ceiling.
+// batchSizeBuckets are the bounds for the wire-flush batch-size
+// histogram: powers of two.
 func batchSizeBuckets() []uint64 {
 	return []uint64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024}
 }
 
 // segCounts remembers a runtime's segment split for gauge bookkeeping.
+// The dacapo.segments.threaded gauge keeps its name but counts locked
+// (blocking) stages.
 type segCounts struct {
-	inline   int
-	threaded int
+	inline int
+	locked int
 }
 
 // monitor is a Manager's observability wiring: admission counters and
@@ -79,9 +80,9 @@ func (mon *monitor) connected(rt *Runtime, side string) {
 	mon.reg.Counter("dacapo.stack.selected{stack=" + spec + "}").Inc()
 	mon.active.Inc()
 	seg := segCounts{}
-	seg.inline, seg.threaded = rt.Segments()
+	seg.inline, seg.locked = rt.Segments()
 	mon.segInline.Add(int64(seg.inline))
-	mon.segThreaded.Add(int64(seg.threaded))
+	mon.segThreaded.Add(int64(seg.locked))
 	mon.mu.Lock()
 	mon.live[rt] = seg
 	mon.mu.Unlock()
@@ -94,34 +95,9 @@ func (mon *monitor) connected(rt *Runtime, side string) {
 	})
 }
 
-// instrumentBatches arms the runtime's batch-size histogram slots — the
-// wire flush and every stage — and re-arms the stage slots across
-// reconfiguration splices (new generations start unarmed).
+// instrumentBatches arms the runtime's wire-flush batch-size histogram.
 func (mon *monitor) instrumentBatches(rt *Runtime) {
 	rt.wireHist.Store(mon.reg.Histogram("dacapo.batch.size{stage=wire}", batchSizeBuckets()))
-	mon.armStageHists(rt)
-	rt.OnReconfigured(func(Spec, qos.Set) { mon.armStageHists(rt) })
-}
-
-func (mon *monitor) armStageHists(rt *Runtime) {
-	rt.statsLock.Lock()
-	stages := rt.statsStages
-	rt.statsLock.Unlock()
-	for _, s := range stages {
-		// Only blocking stages have boundary queues, and only pumps observe
-		// batch intake — inline stages run packets to completion with no
-		// batch to measure (the wire flush histogram covers their output).
-		// Registering a series for them would just publish a dead zero.
-		if !s.blocking {
-			continue
-		}
-		// One registration per stage per generation, not per observation;
-		// the name call is hoisted so the registry argument stays a pure
-		// concatenation.
-		stageName := s.mod.Name()
-		h := mon.reg.Histogram("dacapo.batch.size{stage="+stageName+"}", batchSizeBuckets())
-		s.ctx.batchHist.Store(h)
-	}
 }
 
 // rejected records a failed admission under a coarse reason: "qos" (no
@@ -177,7 +153,7 @@ func (mon *monitor) untrack(rt *Runtime) {
 	mon.mu.Unlock()
 	mon.active.Dec()
 	mon.segInline.Add(-int64(seg.inline))
-	mon.segThreaded.Add(-int64(seg.threaded))
+	mon.segThreaded.Add(-int64(seg.locked))
 }
 
 // collect emits the per-module packet/byte counters (closed-runtime totals

@@ -8,11 +8,9 @@
 // into protocol *functions* — error detection, acknowledgement, flow
 // control, encryption, … — each realised by exchangeable *modules*
 // (mechanisms). Modules are combined into a module graph (a stack in this
-// reproduction, matching the measured configurations); the runtime splits
-// the graph into run-to-completion inline segments at blocking-module
-// boundaries, so most packets traverse the whole stack on a single
-// goroutine with batches amortising the remaining hand-offs (see
-// runtime.go).
+// reproduction, matching the measured configurations); the runtime runs
+// the graph to completion on the sending and receiving goroutines, with
+// blocking modules as locked stages (see runtime.go).
 //
 // The management component configures the module graph from the
 // application's QoS requirements (Config), performs admission control
@@ -34,6 +32,12 @@ import (
 // so modules can prepend their protocol headers without copying the
 // payload — the pointer-passing shared-memory discipline of Figure 6.
 const defaultHeadroom = 64
+
+// defaultTailroom is the spare space kept behind a payload that the
+// runtime or a blocking stage copies into the arena, so the trailers
+// appended on the way down (ARQ 5 octets, CRC-32 4) fit without another
+// copy.
+const defaultTailroom = 16
 
 // ErrHeadroom reports a Prepend that exceeded the packet's headroom and
 // could not be satisfied in place.
@@ -65,7 +69,7 @@ var hdrPool = sync.Pool{New: func() any { return new(Packet) }}
 // least size payload octets; the payload starts empty.
 func getPacketSized(size int) *Packet {
 	p := hdrPool.Get().(*Packet)
-	p.buf = bufpool.Get(defaultHeadroom + size) //coollint:owner packet owns the buffer; putPacket returns it to the arena
+	p.buf = bufpool.Get(defaultHeadroom + size + defaultTailroom) //coollint:owner packet owns the buffer; putPacket returns it to the arena
 	p.buf = p.buf[:cap(p.buf)]
 	p.off = defaultHeadroom
 	p.end = defaultHeadroom
@@ -144,7 +148,7 @@ func (p *Packet) Bytes() []byte { return p.buf[p.off:p.end] }
 // copy.
 func (p *Packet) WritableBytes() []byte {
 	if !p.owned {
-		p.migrate(defaultHeadroom, 0)
+		p.migrate(defaultHeadroom, defaultTailroom)
 	}
 	return p.buf[p.off:p.end]
 }

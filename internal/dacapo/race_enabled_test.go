@@ -1,0 +1,7 @@
+//go:build race
+
+package dacapo_test
+
+// raceEnabled skips allocation-budget assertions: the race detector's
+// instrumentation allocates on its own.
+const raceEnabled = true

@@ -28,8 +28,9 @@ import (
 // under — the splice drops and duplicates nothing. Packets already inside
 // the old generation finish there: contexts pin their own stage slice.
 //
-// Only fully inline graphs reconfigure in place (a threaded graph NACKs
-// the proposal); the management layer falls back to re-dialling for those.
+// Only fully inline graphs reconfigure in place (a graph with blocking
+// stages NACKs the proposal); the management layer falls back to
+// re-dialling for those.
 // If both ends propose simultaneously each side is busy with its own
 // attempt and NACKs the peer's — both abort, the connection stays up, and
 // the callers retry or redial.
@@ -168,7 +169,7 @@ func (r *Runtime) prepareGeneration(spec Spec) ([]*stage, error) {
 	}
 	for _, m := range modules {
 		if _, blocking := m.(Blocker); blocking {
-			return nil, fmt.Errorf("%w: module %s requires threaded scheduling", ErrReconfigUnsupported, m.Name())
+			return nil, fmt.Errorf("%w: module %s is blocking", ErrReconfigUnsupported, m.Name())
 		}
 	}
 	stages := r.buildStages(modules)
@@ -197,7 +198,7 @@ func stopStages(stages []*stage) {
 // (Recv processes the control handshake). A timeout poisons the runtime —
 // the connection state is then unknown and the caller re-dials.
 func (r *Runtime) Reconfigure(spec Spec, requested qos.Set) (qos.Set, error) {
-	if r.threaded {
+	if len(r.locked) > 0 {
 		return nil, fmt.Errorf("%w: stack has blocking modules", ErrReconfigUnsupported)
 	}
 	if r.stopped() {
@@ -317,13 +318,17 @@ func (r *Runtime) driveHandshake(st *reconfigState) (qos.Set, error) {
 	}
 }
 
-// handleCtrl dispatches a control frame on the inline receive path
-// (called under readMu). Reconfigurations are rare relative to data
-// traffic, so the whole dispatch is off the allocation-audit spine.
+// handleCtrl dispatches a control frame on the receive path (called
+// under readMu). Reconfigurations are rare relative to data traffic, so
+// the whole dispatch is off the allocation-audit spine.
 //
 //coollint:coldpath control-plane dispatch; runs once per reconfiguration
 func (r *Runtime) handleCtrl(kind byte, msg []byte) {
 	dec := ctrlDecoder(msg)
+	if len(r.locked) > 0 {
+		r.refuseProposal(kind, dec)
+		return
+	}
 	switch kind {
 	case ctrlPropose:
 		r.ctrlOnPropose(dec)
@@ -338,8 +343,34 @@ func (r *Runtime) handleCtrl(kind byte, msg []byte) {
 	}
 }
 
-// sendCtrl writes a control frame under the send lock.
+// refuseProposal is the control handler of a graph with blocking stages:
+// proposals are NACKed, since the graph cannot be respliced in place;
+// stale ACCEPT/NACK/COMMIT frames after a failed attempt are dropped.
+func (r *Runtime) refuseProposal(kind byte, dec *cdr.Decoder) {
+	if kind != ctrlPropose {
+		return
+	}
+	gen, err := dec.ReadULong()
+	if err != nil {
+		return
+	}
+	r.rcStarted.Add(1)
+	r.rcAborted.Add(1)
+	_ = r.sendCtrl(encodeCtrl(ctrlNack, func(enc *cdr.Encoder) {
+		enc.WriteULong(gen)
+		enc.WriteString("peer stack has blocking modules")
+	}))
+}
+
+// sendCtrl writes a control frame under sendMu. Over a graph with blocking
+// stages, whose receive path never writes, the frame joins the wire queue
+// instead and leaves on the flush timer's goroutine.
 func (r *Runtime) sendCtrl(frame []byte) error {
+	if len(r.locked) > 0 {
+		r.queueWire(wrapBorrowed(frame))
+		r.kickWire(0)
+		return nil
+	}
 	r.sendMu.Lock()
 	err := r.tch.WriteMessage(frame)
 	r.sendMu.Unlock()
@@ -540,32 +571,6 @@ func (r *Runtime) finishSplice(st *reconfigState, old []*stage) {
 	r.rcMu.Unlock()
 	for _, fn := range cbs {
 		fn(st.spec, st.granted)
-	}
-}
-
-// ctrlThreaded is the reader-goroutine control handler for threaded
-// graphs: proposals are refused (the graph cannot be respliced in place);
-// the NACK is written by the wire-owning pump to keep a single writer.
-//
-//coollint:coldpath control-plane dispatch; runs once per reconfiguration
-func (r *Runtime) ctrlThreaded(kind byte, msg []byte) {
-	if kind != ctrlPropose {
-		return // stale ACCEPT/NACK/COMMIT after a failed attempt: drop
-	}
-	dec := ctrlDecoder(msg)
-	gen, err := dec.ReadULong()
-	if err != nil {
-		return
-	}
-	r.rcStarted.Add(1)
-	r.rcAborted.Add(1)
-	frame := encodeCtrl(ctrlNack, func(enc *cdr.Encoder) {
-		enc.WriteULong(gen)
-		enc.WriteString("peer stack has blocking modules")
-	})
-	select {
-	case r.ctrlQ <- frame:
-	case <-r.stop:
 	}
 }
 

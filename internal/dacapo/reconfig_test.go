@@ -196,19 +196,19 @@ func TestReconfigureUnsupportedBlockingTarget(t *testing.T) {
 	}
 }
 
-// TestReconfigureUnsupportedThreadedRuntime: a runtime that itself runs
-// threaded (blocking modules in the current graph) cannot splice at all.
-func TestReconfigureUnsupportedThreadedRuntime(t *testing.T) {
+// TestReconfigureUnsupportedLockedRuntime: a runtime with blocking
+// (locked) stages in its current graph cannot splice at all.
+func TestReconfigureUnsupportedLockedRuntime(t *testing.T) {
 	ra, _ := startPair(t, dacapo.Spec{Modules: []dacapo.ModuleSpec{{Name: "window"}}})
 	if _, err := ra.Reconfigure(dacapo.Spec{}, nil); !errors.Is(err, dacapo.ErrReconfigUnsupported) {
 		t.Fatalf("err = %v, want ErrReconfigUnsupported", err)
 	}
 }
 
-// TestReconfigureNackedByThreadedPeer: an inline initiator proposing to a
-// peer whose graph is threaded gets a NACK from the peer's reader — the
-// threaded side cannot be respliced in place.
-func TestReconfigureNackedByThreadedPeer(t *testing.T) {
+// TestReconfigureNackedByLockedPeer: an inline initiator proposing to a
+// peer whose graph has a blocking stage gets a NACK from the peer's
+// receive path — the locked side cannot be respliced in place.
+func TestReconfigureNackedByLockedPeer(t *testing.T) {
 	reg := modules.NewLibrary()
 	a, b := pipePair(t)
 	ra, err := dacapo.NewRuntime(dacapo.Spec{}, reg, a)
@@ -226,6 +226,8 @@ func TestReconfigureNackedByThreadedPeer(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { ra.Close(); rb.Close() })
+	// The responder handles the proposal on its receive path.
+	go rb.Recv()
 
 	_, err = ra.Reconfigure(dacapo.Spec{Modules: []dacapo.ModuleSpec{{Name: "crc32"}}}, nil)
 	if !errors.Is(err, dacapo.ErrReconfigRejected) {
@@ -235,7 +237,7 @@ func TestReconfigureNackedByThreadedPeer(t *testing.T) {
 		t.Fatalf("reason = %v", err)
 	}
 	if _, _, aborted := rb.ReconfigCounts(); aborted != 1 {
-		t.Errorf("threaded peer aborted = %d, want 1", aborted)
+		t.Errorf("locked peer aborted = %d, want 1", aborted)
 	}
 }
 

@@ -38,7 +38,7 @@ func (m *failModule) HandleUp(ctx *dacapo.Context, p *dacapo.Packet) error {
 }
 
 // eventModule forwards packets and records events. It uses After/Post, so
-// it declares Blocking to get threaded scheduling.
+// it declares Blocking to run as a locked stage.
 type eventModule struct {
 	dacapo.BaseModule
 	events chan any

@@ -83,23 +83,29 @@ func (t *tcpListener) Accept() (Channel, error) {
 func (t *tcpListener) Addr() string { return t.l.Addr().String() }
 func (t *tcpListener) Close() error { return t.l.Close() }
 
-// tcpChannel frames messages over a net.Conn. The write buffer is reused
-// across messages — the _TcpBuffer role.
+// tcpChannel frames messages over a net.Conn. It keeps no buffers of its
+// own between messages: writes gather the length prefix and the caller's
+// payload into one vectored write, and the read staging buffer is borrowed
+// from the arena only while it holds unconsumed bytes.
 type tcpChannel struct {
 	conn net.Conn
 
 	writeMu sync.Mutex
-	wbuf    []byte
 	// pbuf holds the 4-octet length prefixes and iov the gather list for
-	// WriteMessages; both are reused across batches (and cleared after each
-	// write so recycled frames are not pinned by the backing array).
+	// WriteMessage(s); both are reused across writes (and cleared after
+	// each write so recycled frames are not pinned by the backing array).
+	// out is the copy of iov that the vectored write consumes; keeping it
+	// in the channel stops it escaping per write.
 	pbuf []byte
 	iov  net.Buffers
+	out  net.Buffers
 
 	readMu sync.Mutex
-	// rbuf is the inbound staging buffer (lazily allocated); rpos..rlen is
-	// the unconsumed window. Batching the length prefix and payload into
-	// one kernel read halves the syscalls per frame on the hot path.
+	// rbuf is the inbound staging buffer, taken from the arena when a read
+	// needs it and returned once drained, on a read error and at Close;
+	// rpos..rlen is the unconsumed window. Batching the length prefix and
+	// payload into one kernel read halves the syscalls per frame on the
+	// hot path.
 	rbuf       []byte
 	rpos, rlen int
 }
@@ -112,22 +118,32 @@ func newTCPChannel(conn net.Conn) *tcpChannel {
 	return &tcpChannel{conn: conn}
 }
 
+// WriteMessage sends the length prefix and p in one vectored write, which
+// keeps the frame atomic on the wire without copying the payload.
 func (c *tcpChannel) WriteMessage(p []byte) error {
 	c.writeMu.Lock()
 	defer c.writeMu.Unlock()
-	// One writev-style Write keeps the frame atomic on the wire and avoids
-	// a small-packet round before the payload.
-	need := 4 + len(p)
-	if cap(c.wbuf) < need {
-		c.wbuf = make([]byte, need)
+	if cap(c.pbuf) < 4 {
+		c.pbuf = make([]byte, 4)
 	}
-	buf := c.wbuf[:need]
-	binary.BigEndian.PutUint32(buf, uint32(len(p)))
-	copy(buf[4:], p)
-	if _, err := c.conn.Write(buf); err != nil {
+	pfx := c.pbuf[:4]
+	binary.BigEndian.PutUint32(pfx, uint32(len(p)))
+	c.iov = append(c.iov[:0], pfx, p)
+	if err := c.writeIOV(); err != nil {
 		return fmt.Errorf("transport: tcp write: %w", err)
 	}
 	return nil
+}
+
+// writeIOV sends the gather list in one vectored write, then drops every
+// alias of the callers' frames. Callers hold writeMu.
+func (c *tcpChannel) writeIOV() error {
+	c.out = c.iov
+	_, err := c.out.WriteTo(c.conn)
+	c.out = nil
+	clear(c.iov[:cap(c.iov)])
+	c.iov = c.iov[:0]
+	return err
 }
 
 // WriteMessages implements BatchChannel: all frames leave in one vectored
@@ -153,28 +169,25 @@ func (c *tcpChannel) WriteMessages(frames [][]byte) error {
 			iov = append(iov, p)
 		}
 	}
-	// WriteTo advances iov as it drains; keep the full slice so the backing
-	// array can be cleared afterwards — frames are recycled by the caller
-	// and must not stay reachable from the channel.
+	// WriteTo advances its slice as it drains; writeIOV keeps the full
+	// slice so the backing array can be cleared afterwards — frames are
+	// recycled by the caller and must not stay reachable from the channel.
 	c.iov = iov
-	_, err := (&iov).WriteTo(c.conn)
-	clear(c.iov[:cap(c.iov)])
-	c.iov = c.iov[:0]
-	if err != nil {
+	if err := c.writeIOV(); err != nil {
 		return fmt.Errorf("transport: tcp writev: %w", err)
 	}
 	return nil
 }
 
-// fill reads more inbound bytes into the staging buffer. Callers hold
-// readMu. A read that returns data with an error defers the error to the
-// next call, like bufio.
+// fill reads more inbound bytes into the staging buffer, taking one from
+// the arena when none is held. Callers hold readMu. A read that returns
+// data with an error defers the error to the next call, like bufio.
 func (c *tcpChannel) fill() error {
-	if c.rbuf == nil {
-		c.rbuf = make([]byte, tcpReadBuf)
-	}
-	if c.rpos == c.rlen {
+	if c.rbuf != nil && c.rpos == c.rlen {
 		c.rpos, c.rlen = 0, 0
+	}
+	if c.rbuf == nil {
+		c.rbuf = bufpool.Get(tcpReadBuf)[:tcpReadBuf] //coollint:owner the channel holds the staging buffer until drained, a read error or Close
 	} else if c.rlen == len(c.rbuf) {
 		c.rlen = copy(c.rbuf, c.rbuf[c.rpos:c.rlen])
 		c.rpos = 0
@@ -187,13 +200,28 @@ func (c *tcpChannel) fill() error {
 	if err == nil {
 		err = io.ErrNoProgress
 	}
+	c.releaseRead()
 	return err
 }
 
-// consume copies the next len(p) buffered-or-wire bytes into p.
+// releaseRead returns the staging buffer to the arena, discarding any
+// unconsumed bytes. Callers hold readMu.
+func (c *tcpChannel) releaseRead() {
+	if c.rbuf != nil {
+		bufpool.Put(c.rbuf)
+		c.rbuf = nil
+	}
+	c.rpos, c.rlen = 0, 0
+}
+
+// consume copies the next len(p) buffered-or-wire bytes into p and returns
+// the staging buffer once it is drained.
 func (c *tcpChannel) consume(p []byte) error {
 	got := copy(p, c.rbuf[c.rpos:c.rlen])
 	c.rpos += got
+	if c.rpos == c.rlen {
+		c.releaseRead()
+	}
 	if got == len(p) {
 		return nil
 	}
@@ -213,6 +241,7 @@ func (c *tcpChannel) ReadMessage() ([]byte, error) {
 	n := binary.BigEndian.Uint32(c.rbuf[c.rpos:])
 	c.rpos += 4
 	if n > maxTCPMessage {
+		c.releaseRead()
 		return nil, fmt.Errorf("transport: tcp frame of %d octets exceeds limit", n)
 	}
 	// Pooled read buffer: ownership transfers to the caller, which recycles
@@ -220,6 +249,7 @@ func (c *tcpChannel) ReadMessage() ([]byte, error) {
 	p := bufpool.Get(int(n))[:n]
 	if err := c.consume(p); err != nil {
 		bufpool.Put(p)
+		c.releaseRead()
 		return nil, fmt.Errorf("transport: tcp short frame: %w", err)
 	}
 	return p, nil
@@ -229,6 +259,15 @@ func (c *tcpChannel) SetQoSParameter(params qos.Set) (qos.Set, error) {
 	return NoQoS(params)
 }
 
-func (c *tcpChannel) Close() error       { return c.conn.Close() }
+// Close closes the connection, which unblocks a pending read, then returns
+// the staging buffer to the arena.
+func (c *tcpChannel) Close() error {
+	err := c.conn.Close()
+	c.readMu.Lock()
+	c.releaseRead()
+	c.readMu.Unlock()
+	return err
+}
+
 func (c *tcpChannel) LocalAddr() string  { return c.conn.LocalAddr().String() }
 func (c *tcpChannel) RemoteAddr() string { return c.conn.RemoteAddr().String() }

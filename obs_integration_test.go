@@ -120,6 +120,10 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	}
 
 	cs := cool.Metrics(client).Snapshot()
+	// The server counts a reply once its write returns, and the client can
+	// hold that reply a moment before then. Drain the server so every reply
+	// write has returned before reading its counters.
+	server.Shutdown()
 	ss := cool.Metrics(server).Snapshot()
 
 	// (b) Non-zero latency histograms on both sides.
